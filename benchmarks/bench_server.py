@@ -2,7 +2,7 @@
 
 A closed-loop load generator drives a real ``AsyncServingServer`` over
 loopback TCP with the blocking ``ServingClient`` — the full wire path
-(framing, JSON/binary payloads, admission control, externally-driven
+(framing, JSON/binary payloads, admission control, server-scheduled
 batching, replica routing, worker-pool forwards) — and asserts the
 acceptance gates:
 

@@ -61,7 +61,8 @@ def run_stream(predictor: Predictor, requests, max_batch_size: int):
     )
     start = time.perf_counter()
     handles = [batcher.submit(r) for r in requests]
-    batcher.flush()
+    for chunk in batcher.take_ready(force=True):
+        batcher.run_chunk(chunk)
     elapsed = time.perf_counter() - start
     return elapsed, [h.result() for h in handles]
 

@@ -1,7 +1,7 @@
 """REP-DOC — intra-repo markdown links and anchors must resolve.
 
-This is ``tools/check_docs_links.py`` folded into the lint framework (the
-tool remains as a thin CLI shim for the existing CI ``docs`` job).  Scans
+Runs with every other checker under ``python -m repro.lint`` (the CI
+``lint`` job); ``--select REP-DOC`` runs it alone.  Scans
 every ``*.md`` file for inline links/images and reports a finding when a
 relative target does not exist, or a ``#fragment`` matches no heading of
 the target document (GitHub-style slugs).  External schemes are skipped —

@@ -10,7 +10,7 @@ The inference-side counterpart to the training stack, in two layers:
   live point streams, and the composed :class:`ServingEngine`.
 * **Network** — :class:`AsyncServingServer`, an asyncio TCP front-end
   speaking a length-prefixed JSON/binary protocol (:mod:`repro.serve.protocol`)
-  with admission control, externally-driven batching, and weighted
+  with admission control, server-scheduled batching, and weighted
   :class:`Router`-based replica pools — in-process, or as supervised child
   processes (:class:`WorkerPool`/:class:`WorkerPredictor`,
   :mod:`repro.serve.workers`) that escape the GIL while keeping the replay

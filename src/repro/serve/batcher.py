@@ -2,29 +2,30 @@
 
 Online consumers submit one agent's observation window at a time; running the
 model per request would pay the full Python/numpy dispatch overhead per
-agent.  The :class:`MicroBatcher` queues requests and flushes them as one
-padded :class:`~repro.data.dataset.Batch` through the vectorized model hot
-path under two standard policies:
+agent.  The :class:`MicroBatcher` queues requests and runs them as padded
+:class:`~repro.data.dataset.Batch` es through the vectorized model hot path.
 
-* **max batch size** — a flush happens as soon as ``max_batch_size`` requests
-  are pending (latency never waits on a full batch longer than necessary);
-* **max wait** — ``poll()`` flushes a partial batch once the oldest pending
-  request has waited ``max_wait`` seconds (bounded tail latency under low
-  traffic).
+Scheduling has one API.  :meth:`MicroBatcher.submit` only queues;
+:meth:`MicroBatcher.take_ready` pops due work as :class:`FlushChunk` s under
+two standard policies:
+
+* **max batch size** — every full ``max_batch_size`` chunk pops at once;
+* **max wait** — the partial remainder pops once its oldest request has
+  waited ``max_wait`` seconds (or at once with ``force=True``);
+
+and :meth:`MicroBatcher.run_chunk` executes one chunk.  The async network
+front-end (:mod:`repro.serve.server`) runs chunks on worker threads;
+:class:`~repro.serve.engine.ServingEngine` runs the same loop synchronously.
+A chunk that fails fails its handles terminally — nothing is requeued — and
+:meth:`MicroBatcher.shutdown` terminates every pending request with a
+:class:`ServingClosedError` instead of leaving waiters hanging.
 
 Collation mirrors :meth:`repro.data.dataset.TrajectoryDataset.collate`
 bit-for-bit — origin translation to the focal agent's last observed position,
 zero-padded neighbour slots with a boolean mask, nearest-first truncation —
 so a coalesced serving batch is numerically identical to the offline
-evaluation batch built from the same windows.
-
-The batcher also supports **externally-driven flushes** for the async
-network front-end (:mod:`repro.serve.server`): with ``auto_flush=False`` an
-event-loop scheduler pops due work with :meth:`MicroBatcher.take_ready` and
-executes it on a worker thread with :meth:`MicroBatcher.run_chunk`, and
-:meth:`MicroBatcher.shutdown` terminates every pending request with a
-:class:`ServingClosedError` instead of leaving pollers hanging.  See
-``docs/serving.md`` for the full batching and backpressure semantics.
+evaluation batch built from the same windows.  See ``docs/serving.md`` for
+the full batching and backpressure semantics.
 """
 
 from __future__ import annotations
@@ -67,12 +68,11 @@ class DeadlineExceededError(RuntimeError):
     """Terminal error of a request whose deadline expired before inference.
 
     A :class:`PredictRequest` may carry an absolute ``deadline`` (batcher
-    clock).  Expired requests are swept out *before* the model runs — at pop
-    time (:meth:`MicroBatcher.expire_pending`), and again at chunk execution
-    (:meth:`MicroBatcher.expire_chunk`, which also runs inside
-    :meth:`MicroBatcher.run_chunk` after the replica-lock/executor wait) — so
-    the server never computes answers nobody is waiting for.  On the wire
-    this maps to the typed ``deadline_exceeded`` response.
+    clock).  Expired requests are swept out *before* the model runs — in the
+    queue (:meth:`MicroBatcher.expire_pending`), and again at chunk execution
+    inside :meth:`MicroBatcher.run_chunk`, after the replica-lock/executor
+    wait — so the server never computes answers nobody is waiting for.  On
+    the wire this maps to the typed ``deadline_exceeded`` response.
     """
 
 
@@ -129,7 +129,7 @@ class PendingPrediction:
 
     A handle resolves exactly once, either with world-frame samples
     (:meth:`result`) or with a terminal error (``error``) — e.g. a failed
-    externally-driven flush, or batcher shutdown.  ``done`` is True in both
+    chunk, or batcher shutdown.  ``done`` is True in both
     cases, so pollers never hang on a request that can no longer complete.
     """
 
@@ -187,7 +187,7 @@ class PendingPrediction:
     def result(self) -> np.ndarray:
         """World-frame futures ``[K, pred_len, 2]`` once the batch has run.
 
-        Raises the terminal error if the request failed (flush exception,
+        Raises the terminal error if the request failed (chunk exception,
         shutdown), or ``RuntimeError`` while it is still waiting to be
         coalesced.
         """
@@ -195,8 +195,8 @@ class PendingPrediction:
             raise self._error
         if self._samples is None:
             raise RuntimeError(
-                "prediction not ready; the request is still waiting to be "
-                "coalesced (call poll()/flush() on the batcher)"
+                "prediction not ready; the request is still queued (pop it "
+                "with take_ready() and execute it with run_chunk())"
             )
         return self._samples
 
@@ -298,7 +298,7 @@ def batch_from_wire(fields: dict) -> Batch:
 
 @dataclass
 class FlushChunk:
-    """One popped batch of pending requests, ready for an external flush.
+    """One popped batch of pending requests, ready for ``run_chunk``.
 
     ``batch_id`` is assigned under the batcher lock, in pop order, and is the
     key of the per-flush RNG derivation when ``seed_per_flush`` is set — so a
@@ -321,16 +321,10 @@ class FlushChunk:
 class MicroBatcher:
     """Coalesce concurrent prediction requests into padded model batches.
 
-    Two flush modes share the same queue and collation path:
-
-    * **caller-driven** (the default, ``auto_flush=True``): ``submit`` flushes
-      inline the moment a full batch is pending, and ``poll``/``flush`` run
-      partial batches on the calling thread — the synchronous in-process mode
-      :class:`~repro.serve.engine.ServingEngine` uses.
-    * **externally-driven** (``auto_flush=False``): ``submit`` only queues;
-      an external scheduler (the async serving front-end's flush loop) pops
-      work with :meth:`take_ready` and executes it with :meth:`run_chunk` on
-      a worker thread, keeping model forwards off the event loop.
+    ``submit`` only queues.  A scheduler pops due work with :meth:`take_ready`
+    and executes each chunk with :meth:`run_chunk` — on a worker thread in
+    the async server (keeping model forwards off the event loop), inline in
+    :class:`~repro.serve.engine.ServingEngine`.
 
     Parameters
     ----------
@@ -338,20 +332,19 @@ class MicroBatcher:
     num_samples : futures sampled per request (best-of-K serving).  Fixed per
         batcher, not per request — every row of a coalesced batch shares one
         ``[K, B, ...]`` forward.
-    max_batch_size : flush as soon as this many requests are pending.
-    max_wait : seconds a request may wait before ``poll``/``take_ready``
-        releases a partial batch; ``0`` means partial batches are released
-        whenever asked (lowest latency, coalescing only under backpressure).
+    max_batch_size : requests per chunk; full chunks always pop.
+    max_wait : seconds a request may wait before ``take_ready`` releases a
+        partial batch; ``0`` means partial batches are released whenever
+        asked (lowest latency, coalescing only under backpressure).
     max_neighbours : cap on padded neighbour slots (None = batch maximum).
     rng : seed or generator for the sampling noise (one stream across
-        flushes, so a fixed seed makes a serving session reproducible).
-    seed_per_flush : when set, each flush ``i`` draws its noise from a fresh
+        chunks, so a fixed seed makes a serving session reproducible).
+    seed_per_flush : when set, each chunk ``i`` draws its noise from a fresh
         ``default_rng((seed_per_flush, i))`` instead of the shared stream.
         This makes every served batch independently replayable — the
         equivalence gate in ``benchmarks/bench_server.py`` recomputes served
         batches offline from ``(seed, batch_id)`` — and safe to execute out
         of order across worker threads.
-    auto_flush : disable to run the batcher in externally-driven mode.
     clock : monotonic time source; injectable for tests.
     """
 
@@ -364,7 +357,6 @@ class MicroBatcher:
         max_neighbours: int | None = None,
         rng: np.random.Generator | int | None = 0,
         seed_per_flush: int | None = None,
-        auto_flush: bool = True,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_batch_size < 1:
@@ -380,7 +372,6 @@ class MicroBatcher:
         self.max_neighbours = max_neighbours
         self.rng = new_rng(rng)
         self.seed_per_flush = seed_per_flush
-        self.auto_flush = auto_flush
         self.clock = clock
         self._lock = threading.Lock()
         self._pending: list[PendingPrediction] = []
@@ -396,12 +387,12 @@ class MicroBatcher:
     # ------------------------------------------------------------------
     @property
     def pending_count(self) -> int:
-        """Requests queued and not yet popped into a flush (queue depth)."""
+        """Requests queued and not yet popped into a chunk (queue depth)."""
         return len(self._pending)
 
     @property
     def next_batch_id(self) -> int:
-        """The id the next popped flush will get (the swap cutover marker)."""
+        """The id the next popped chunk will get (the swap cutover marker)."""
         return self._next_batch_id
 
     @property
@@ -416,13 +407,11 @@ class MicroBatcher:
 
     # ------------------------------------------------------------------
     def submit(self, request: PredictRequest) -> PendingPrediction:
-        """Queue one request; flushes immediately when a full batch is ready.
+        """Queue one request; the scheduler pops it via :meth:`take_ready`.
 
         Window length is validated here, against the predictor, so a
         malformed request fails in its own caller instead of poisoning the
-        batch it would later be coalesced into.  In externally-driven mode
-        (``auto_flush=False``) the request is only queued; the scheduler pops
-        it via :meth:`take_ready`.
+        batch it would later be coalesced into.
         """
         expected = getattr(self.predictor, "obs_len", None)
         if expected is not None and request.obs.shape[0] != expected:
@@ -436,32 +425,8 @@ class MicroBatcher:
             handle = PendingPrediction(request, self.clock())
             self._pending.append(handle)
             self.total_requests += 1
-            if self.auto_flush and len(self._pending) >= self.max_batch_size:
-                self._flush_locked(self.max_batch_size)
         return handle
 
-    def poll(self, now: float | None = None) -> list[PendingPrediction]:
-        """Flush partial batches whose oldest request exceeded ``max_wait``."""
-        self.expire_pending(now)
-        with self._lock:
-            if not self._pending:
-                return []
-            now = self.clock() if now is None else now
-            if now - self._pending[0].enqueued_at < self.max_wait:
-                return []
-            return self._flush_locked(self.max_batch_size)
-
-    def flush(self) -> list[PendingPrediction]:
-        """Run every pending request now (in ``max_batch_size`` chunks)."""
-        with self._lock:
-            completed: list[PendingPrediction] = []
-            while self._pending:
-                completed.extend(self._flush_locked(self.max_batch_size))
-            return completed
-
-    # ------------------------------------------------------------------
-    # Externally-driven flushes (async front-end)
-    # ------------------------------------------------------------------
     def take_ready(
         self,
         now: float | None = None,
@@ -494,69 +459,43 @@ class MicroBatcher:
     # Deadlines and fault handling
     # ------------------------------------------------------------------
     @staticmethod
-    def _expired_error(handle: PendingPrediction, now: float) -> DeadlineExceededError:
-        overdue = now - handle.request.deadline
-        return DeadlineExceededError(
-            f"request {handle.request.request_id!r} missed its deadline by "
-            f"{overdue * 1e3:.1f}ms before inference ran"
-        )
+    def _split_expired(
+        handles: list[PendingPrediction], now: float
+    ) -> tuple[list[PendingPrediction], list[PendingPrediction]]:
+        """Split ``handles`` into ``(live, expired)``; fail the expired ones.
+
+        Each expired handle gets a terminal :class:`DeadlineExceededError`;
+        the caller counts them.
+        """
+        live: list[PendingPrediction] = []
+        expired: list[PendingPrediction] = []
+        for handle in handles:
+            deadline = handle.request.deadline
+            (live if deadline is None or now < deadline else expired).append(handle)
+        for handle in expired:
+            overdue = now - handle.request.deadline
+            handle._set_error(
+                DeadlineExceededError(
+                    f"request {handle.request.request_id!r} missed its deadline "
+                    f"by {overdue * 1e3:.1f}ms before inference ran"
+                )
+            )
+        return live, expired
 
     def expire_pending(self, now: float | None = None) -> list[PendingPrediction]:
         """Sweep queued requests whose deadline passed; returns the expired.
 
         Each expired handle gets a terminal :class:`DeadlineExceededError`
         *before* it could be coalesced — the answer the caller is still
-        around to see.  The async server calls this on every drain (so a
+        around to see.  The async server calls this on every drain, so a
         request queued behind busy replicas is answered within one flush
-        interval of its deadline); :meth:`poll` calls it for the in-process
-        mode.
+        interval of its deadline.
         """
         with self._lock:
             if not self._pending:
                 return []
             now = self.clock() if now is None else now
-            live = [
-                h
-                for h in self._pending
-                if h.request.deadline is None or now < h.request.deadline
-            ]
-            if len(live) == len(self._pending):
-                return []
-            expired = [
-                h
-                for h in self._pending
-                if h.request.deadline is not None and now >= h.request.deadline
-            ]
-            self._pending = live
-            self.total_expired += len(expired)
-            self.total_failed += len(expired)
-        for handle in expired:
-            handle._set_error(self._expired_error(handle, now))
-        return expired
-
-    def expire_chunk(
-        self, chunk: FlushChunk, now: float | None = None
-    ) -> list[PendingPrediction]:
-        """Drop expired handles out of a popped chunk; returns the expired.
-
-        Safe to call repeatedly (the async server sweeps once on the event
-        loop for a fast typed answer; :meth:`run_chunk` sweeps again after
-        the replica-lock/executor wait, so a stalled replica can never smuggle
-        an expired request into inference).  The chunk's remaining handles
-        collate as the batch actually executed.
-        """
-        now = self.clock() if now is None else now
-        expired = [
-            h
-            for h in chunk.handles
-            if h.request.deadline is not None and now >= h.request.deadline
-        ]
-        if not expired:
-            return []
-        chunk.handles = [h for h in chunk.handles if h not in expired]
-        for handle in expired:
-            handle._set_error(self._expired_error(handle, now))
-        with self._lock:
+            self._pending, expired = self._split_expired(self._pending, now)
             self.total_expired += len(expired)
             self.total_failed += len(expired)
         return expired
@@ -576,11 +515,7 @@ class MicroBatcher:
             if not self._closed:
                 self._pending[:0] = chunk.handles
                 return
-        error = ServingClosedError("batcher shut down while requeueing")
-        for handle in chunk.handles:
-            handle._set_error(error)
-        with self._lock:
-            self.total_failed += len(chunk.handles)
+        self.fail_chunk(chunk, ServingClosedError("batcher shut down while requeueing"))
 
     def fail_chunk(self, chunk: FlushChunk, error: BaseException) -> None:
         """Terminally fail every handle of a chunk with ``error``.
@@ -599,43 +534,59 @@ class MicroBatcher:
     ) -> list[PendingPrediction]:
         """Execute one popped chunk: collate, predict, fulfil its handles.
 
-        Runs without the queue lock (the chunk is owned by the caller), so it
-        is safe to call from a worker thread while the event loop keeps
-        accepting submissions.  ``predictor`` overrides the batcher's own —
-        the replica-routing server runs chunks from one shared queue on
-        whichever replica the router picked; replicas are numerically
-        identical, so the per-flush RNG derivation keeps the result (and its
-        offline replay) independent of the choice.  On failure every handle
-        in the chunk gets the exception as its *terminal* error —
-        externally-driven flushes never requeue, a poisoned batch must not
-        retry forever — and the exception propagates so the scheduler can
-        log it.
+        Returns the handles that ran — empty when every row's deadline had
+        passed, in which case no forward ran.  Runs without the queue lock
+        (the chunk is owned by the caller), so it is safe to call from a
+        worker thread while the event loop keeps accepting submissions.
+        ``predictor`` overrides the batcher's own — the replica-routing
+        server runs chunks from one shared queue on whichever replica the
+        router picked; replicas are numerically identical, so the per-flush
+        RNG derivation keeps the result (and its offline replay) independent
+        of the choice.  On failure every handle in the chunk gets the
+        exception as its *terminal* error — a poisoned batch must not retry
+        forever — and the exception propagates so the scheduler can log it.
         """
-        # Last-chance deadline sweep: time spent waiting for the replica
+        # Execution-time deadline sweep: time spent waiting for the replica
         # lock / executor slot counts against the request's budget, and an
         # expired row must never reach inference.
-        self.expire_chunk(chunk)
+        now = self.clock()
+        chunk.handles, expired = self._split_expired(chunk.handles, now)
+        if expired:
+            with self._lock:
+                self.total_expired += len(expired)
+                self.total_failed += len(expired)
         if not chunk.handles:
             return []
+        predictor = self.predictor if predictor is None else predictor
         stage: dict[str, float] = {}
         if chunk.scheduled_at is not None:
-            stage["route"] = self.clock() - chunk.scheduled_at
+            stage["route"] = now - chunk.scheduled_at
         try:
-            samples = self._predict(
-                [h.request for h in chunk.handles], chunk.batch_id, predictor,
-                timings=stage,
+            collate_started = self.clock()
+            batch = collate_requests(
+                [h.request for h in chunk.handles],
+                pred_len=predictor.pred_len,
+                max_neighbours=self.max_neighbours,
+            )
+            predict_started = self.clock()
+            # One padded batch through the vectorized hot path — never a
+            # Python loop over requests.
+            samples = predictor.predict_world(
+                batch, self.num_samples, self._flush_rng(chunk.batch_id)
             )
         except BaseException as error:
-            for handle in chunk.handles:
-                handle._set_error(error)
-            with self._lock:
-                self.total_failed += len(chunk.handles)
+            self.fail_chunk(chunk, error)
             raise
+        # Three clock reads per *chunk*, not per request.
+        stage["coalesce"] = predict_started - collate_started
+        stage["inference"] = self.clock() - predict_started
         for row, handle in enumerate(chunk.handles):
             handle.batch_id = chunk.batch_id
             handle.batch_row = row
             handle.batch_size = len(chunk.handles)
-            handle.stage_s = self._handle_stages(handle, stage)
+            # Chunk-level stages are shared; the queue wait is per handle.
+            queue_wait = handle.popped_at - handle.enqueued_at
+            handle.stage_s = {**stage, "queue_wait": queue_wait}
             handle._set_result(samples[:, row])
         with self._lock:
             self.total_batches += 1
@@ -678,84 +629,3 @@ class MicroBatcher:
         if self.seed_per_flush is None:
             return self.rng
         return np.random.default_rng((self.seed_per_flush, batch_id))
-
-    @staticmethod
-    def _handle_stages(
-        handle: PendingPrediction, chunk_stage: dict[str, float]
-    ) -> dict[str, float]:
-        """One handle's lifecycle stages: shared chunk stages + queue wait."""
-        stages = dict(chunk_stage)
-        if handle.popped_at is not None:
-            stages["queue_wait"] = handle.popped_at - handle.enqueued_at
-        return stages
-
-    def _predict(
-        self,
-        requests: list[PredictRequest],
-        batch_id: int,
-        predictor: Predictor | None = None,
-        timings: dict[str, float] | None = None,
-    ) -> np.ndarray:
-        predictor = self.predictor if predictor is None else predictor
-        collate_started = self.clock()
-        batch = collate_requests(
-            requests,
-            pred_len=predictor.pred_len,
-            max_neighbours=self.max_neighbours,
-        )
-        predict_started = self.clock()
-        # One padded batch through the vectorized hot path — never a
-        # Python loop over requests.
-        samples = predictor.predict_world(
-            batch, self.num_samples, self._flush_rng(batch_id)
-        )
-        if timings is not None:
-            # Three clock reads per *chunk*, not per request — cheap enough
-            # to capture unconditionally when the caller asks.
-            timings["coalesce"] = predict_started - collate_started
-            timings["inference"] = self.clock() - predict_started
-        return samples
-
-    def _flush_locked(self, limit: int) -> list[PendingPrediction]:
-        if not self._pending:
-            return []
-        chunk = self._pop_chunk_locked(limit)
-        # Inline deadline sweep (the lock is held — expire_chunk would
-        # deadlock): expired rows leave the chunk before collation.
-        now = self.clock()
-        expired = [
-            h
-            for h in chunk.handles
-            if h.request.deadline is not None and now >= h.request.deadline
-        ]
-        if expired:
-            chunk.handles = [h for h in chunk.handles if h not in expired]
-            for handle in expired:
-                handle._set_error(self._expired_error(handle, now))
-            self.total_expired += len(expired)
-            self.total_failed += len(expired)
-            if not chunk.handles:
-                return expired
-        stage: dict[str, float] = {}
-        try:
-            samples = self._predict(
-                [h.request for h in chunk.handles], chunk.batch_id, timings=stage
-            )
-        except BaseException:
-            # Don't lose the coalesced requests on a failed flush: put them
-            # back at the head of the queue so a later poll/flush retries.
-            # (The popped batch_id is consumed either way — per-flush RNG
-            # derivation never reuses a stream.)
-            self._pending[:0] = chunk.handles
-            raise
-        for row, handle in enumerate(chunk.handles):
-            handle.batch_id = chunk.batch_id
-            handle.batch_row = row
-            handle.batch_size = len(chunk.handles)
-            handle.stage_s = self._handle_stages(handle, stage)
-            handle._set_result(samples[:, row])
-        self.total_batches += 1
-        self.total_completed += len(chunk.handles)
-        # Expired handles are done too (terminal error): report everything
-        # this flush resolved, so pollers see every handle leave the queue.
-        return expired + chunk.handles

@@ -12,12 +12,16 @@ vectorized model path), and a :class:`~repro.serve.predictor.Predictor`
 Outputs are in world coordinates (the normalization round trip from
 ``repro.data`` is applied internally) and match the offline
 ``predict_samples`` evaluation path on the identically-composed batch.
+
+The engine schedules exactly like the network server: each
+:meth:`ServingEngine.predict_ready` call drains the batcher once, popping
+chunks with ``take_ready(force=True)`` and running each with ``run_chunk``
+on the calling thread.
 """
 
 from __future__ import annotations
 
-import time
-from collections.abc import Callable, Mapping
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -29,24 +33,28 @@ __all__ = ["ServingEngine"]
 
 
 class ServingEngine:
-    """Online trajectory-prediction service over a trained predictor."""
+    """Online trajectory-prediction service over a trained predictor.
+
+    Owns one :class:`~repro.serve.batcher.MicroBatcher` and drives it
+    synchronously: :meth:`predict_ready` queues the frame's ready agents
+    and drains the batcher once on the calling thread.
+    """
 
     def __init__(
         self,
         predictor: Predictor,
         num_samples: int = 1,
         max_batch_size: int = 32,
-        max_wait: float = 0.0,
         max_neighbours: int | None = None,
         rng: np.random.Generator | int | None = 0,
         seed_per_flush: int | None = None,
-        clock: Callable[[], float] = time.monotonic,
         compile: bool | None = None,
     ) -> None:
         self.predictor = predictor
-        # ``compile=True`` turns on the predictor's planned fast path; the
-        # micro-batcher pads flushes to shape buckets, so the plan cache
-        # converges to a handful of entries.  ``None`` leaves the
+        # ``compile=True`` turns on the predictor's planned fast path.
+        # Collation pads a batch only to its own largest neighbour count, so
+        # the plan cache holds one plan per distinct ``(rows, neighbours)``
+        # pair it has served, without bound.  ``None`` leaves the
         # predictor's own setting untouched.
         if compile is not None:
             predictor.set_compile(compile)
@@ -60,10 +68,8 @@ class ServingEngine:
             predictor,
             num_samples=num_samples,
             max_batch_size=max_batch_size,
-            max_wait=max_wait,
             rng=rng,
             seed_per_flush=seed_per_flush,
-            clock=clock,
         )
 
     # ------------------------------------------------------------------
@@ -87,20 +93,30 @@ class ServingEngine:
     def submit_ready(self, frame: int) -> list[PendingPrediction]:
         """Enqueue every agent whose window is complete at ``frame``.
 
-        Full batches flush inside ``submit``; stragglers stay queued until
-        the batcher's max-wait policy (``poll``) or an explicit ``flush``.
+        Nothing runs here: the handles resolve at the next
+        :meth:`predict_ready` drain, or fail at :meth:`shutdown`.
         """
         return [self.batcher.submit(r) for r in self.windows.requests(frame)]
 
     def predict_ready(self, frame: int) -> dict[object, np.ndarray]:
         """Predict for every ready agent at ``frame``, synchronously.
 
-        All ready agents are coalesced (in ``max_batch_size`` chunks) and the
-        queue is drained, so the result maps every ready ``agent_id`` to
-        world-frame futures of shape ``[num_samples, pred_len, 2]``.
+        All ready agents are queued, then the queue is drained once: full
+        ``max_batch_size`` chunks first, then the remainder.  The result maps
+        every ready ``agent_id`` to world-frame futures of shape
+        ``[num_samples, pred_len, 2]``.  A failed chunk fails its handles
+        terminally; every other chunk still runs, and the first failure is
+        raised once the drain is over.
         """
         handles = self.submit_ready(frame)
-        self.batcher.flush()
+        errors: list[Exception] = []
+        for chunk in self.batcher.take_ready(force=True):
+            try:
+                self.batcher.run_chunk(chunk)
+            except Exception as error:
+                errors.append(error)
+        if errors:
+            raise errors[0]
         return {h.request.request_id[0]: h.result() for h in handles}
 
     # ------------------------------------------------------------------

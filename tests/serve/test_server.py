@@ -296,6 +296,29 @@ class TestBackpressure:
         assert sum(predictor.batch_sizes) == num_clients * per_client
         assert max(predictor.batch_sizes) > 1  # genuine coalescing happened
 
+    @pytest.mark.server_config(model={"max_wait": 0.0, "max_batch_size": 8})
+    def test_idle_frame_predict_runs_as_one_batch(self, running):
+        """A frame's ready agents are queued together and drained once, so
+        an idle replica serves up to ``max_batch_size`` of them in a single
+        forward — not a lone first agent followed by the rest."""
+        _, host, port, predictor = running
+        tracks = {f"a{i}": make_obs(10 + i) + 3.0 * i for i in range(6)}
+        with ServingClient.connect(host, port) as client:
+            for frame in range(8):
+                client.observe(
+                    "stub", frame, {k: obs[frame] for k, obs in tracks.items()}
+                )
+            agents = client.predict_frame("stub", 7, return_meta=True)
+        assert set(agents) == set(tracks)
+        metas = [meta for _, meta in agents.values()]
+        assert len({meta["batch_id"] for meta in metas}) == 1
+        assert all(meta["batch_size"] == len(tracks) for meta in metas)
+        assert predictor.batch_sizes == [len(tracks)]
+        for agent_id, (samples, _) in agents.items():
+            np.testing.assert_allclose(
+                samples[0], expected_extrapolation(tracks[agent_id]), atol=1e-9
+            )
+
 
 class TestRealModelEquivalence:
     def test_served_predictions_match_offline_replay(

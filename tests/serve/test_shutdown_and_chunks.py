@@ -1,10 +1,10 @@
-"""Shutdown semantics and externally-driven flush chunks (async front-end).
+"""Shutdown semantics and the batcher's flush chunks.
 
-The PR-4 regression surface: a shut-down batcher/engine must terminate every
-pending request with :class:`ServingClosedError` instead of hanging pollers,
-shutdown must be idempotent and exception-safe, and the ``take_ready`` /
-``run_chunk`` external-flush API must preserve coalescing and the per-flush
-RNG replay contract the network gate relies on.
+A shut-down batcher/engine must terminate every pending request with
+:class:`ServingClosedError` instead of hanging waiters, shutdown must be
+idempotent and exception-safe, and the ``take_ready`` / ``run_chunk``
+scheduling API must preserve coalescing and the per-flush RNG replay
+contract the network gate relies on.
 """
 
 from __future__ import annotations
@@ -78,27 +78,32 @@ class TestShutdown:
     def test_completed_results_survive_shutdown(self, request_factory):
         """Shutdown fails *pending* work only; delivered results stay valid."""
         batcher = MicroBatcher(StubPredictor(), max_batch_size=2, clock=FakeClock())
-        done = [batcher.submit(request_factory(i)) for i in range(2)]  # auto-flush
+        done = [batcher.submit(request_factory(i)) for i in range(2)]
         late = batcher.submit(request_factory(2))
+        (chunk,) = batcher.take_ready(allow_partial=False)
+        batcher.run_chunk(chunk)
         batcher.shutdown()
         assert all(h.error is None for h in done)
         assert done[0].result().shape == (1, 12, 2)
         assert isinstance(late.error, ServingClosedError)
 
     def test_shutdown_after_failed_flush_is_exception_safe(self, request_factory):
-        """Requests requeued by a failed flush still get terminal errors."""
+        """Shutdown after a failed chunk fails only what is still queued, and
+        never overwrites the chunk's terminal error."""
 
         class FailingPredictor(StubPredictor):
             def predict_world(self, batch, num_samples, rng):
                 raise RuntimeError("backend down")
 
         batcher = MicroBatcher(FailingPredictor(), max_batch_size=8, clock=FakeClock())
-        handles = [batcher.submit(request_factory(i)) for i in range(2)]
+        failed = [batcher.submit(request_factory(i)) for i in range(2)]
+        (chunk,) = batcher.take_ready(force=True)
         with pytest.raises(RuntimeError, match="backend down"):
-            batcher.flush()
-        assert batcher.pending_count == 2  # requeued by the sync path
-        assert batcher.shutdown() == 2
-        assert all(isinstance(h.error, ServingClosedError) for h in handles)
+            batcher.run_chunk(chunk)
+        queued = batcher.submit(request_factory(2))
+        assert batcher.shutdown() == 1
+        assert all(isinstance(h.error, RuntimeError) for h in failed)
+        assert isinstance(queued.error, ServingClosedError)
 
     def test_engine_shutdown_idempotent_and_rejecting(self, predictor):
         engine = ServingEngine(predictor, num_samples=1, max_batch_size=64, rng=0)
@@ -127,11 +132,9 @@ class TestExternalFlushChunks:
     def make_batcher(self, clock=None, **kwargs):
         kwargs.setdefault("max_batch_size", 4)
         kwargs.setdefault("max_wait", 0.05)
-        return MicroBatcher(
-            StubPredictor(), auto_flush=False, clock=clock or FakeClock(), **kwargs
-        )
+        return MicroBatcher(StubPredictor(), clock=clock or FakeClock(), **kwargs)
 
-    def test_submit_does_not_auto_flush(self, request_factory):
+    def test_submit_only_queues(self, request_factory):
         batcher = self.make_batcher()
         handles = [batcher.submit(request_factory(i)) for i in range(6)]
         assert not any(h.done for h in handles)
@@ -184,16 +187,14 @@ class TestExternalFlushChunks:
             def predict_world(self, batch, num_samples, rng):
                 raise RuntimeError("boom")
 
-        batcher = MicroBatcher(
-            FlakyPredictor(), auto_flush=False, max_batch_size=4, clock=FakeClock()
-        )
+        batcher = MicroBatcher(FlakyPredictor(), max_batch_size=4, clock=FakeClock())
         handles = [batcher.submit(request_factory(i)) for i in range(2)]
         [chunk] = batcher.take_ready(force=True)
         with pytest.raises(RuntimeError, match="boom"):
             batcher.run_chunk(chunk)
-        # Externally-driven flushes never requeue: the error is terminal, so
-        # the async server can answer the waiting clients instead of retrying
-        # a poisoned batch forever.
+        # A failed chunk is never requeued: the error is terminal, so the
+        # waiting clients get an answer instead of a poisoned batch retrying
+        # forever.
         assert batcher.pending_count == 0
         for handle in handles:
             assert isinstance(handle.error, RuntimeError)
@@ -211,7 +212,6 @@ class TestPerFlushRngReplay:
             predictor,
             num_samples=2,
             max_batch_size=3,
-            auto_flush=False,
             seed_per_flush=123,
         )
         requests = [request_factory(i, num_neighbours=i % 3) for i in range(5)]
